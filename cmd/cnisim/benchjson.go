@@ -34,12 +34,9 @@ type benchReport struct {
 	// delivered count is simulated and exact — --check diffs it — while
 	// the per-second rate is host perf (--check only requires the
 	// committed snapshot to carry one, so the metric cannot silently
-	// vanish). PreSoA is the same metric measured on the pre-SoA
-	// pre-direct-handoff simulator on the reference host, kept as the
-	// denominator of the recorded speedup.
+	// vanish).
 	TorusLoadsweepEventsPerSec  float64 `json:"torus_loadsweep_events_per_sec"`
 	TorusLoadsweepDeliveredMsgs uint64  `json:"torus_loadsweep_delivered_msgs"`
-	TorusLoadsweepPreSoAPerSec  float64 `json:"torus_loadsweep_events_per_sec_pre_soa"`
 
 	// Simulated headline results (determinism canaries).
 	RTT64BCNI512QCycles uint64  `json:"rtt_64B_cni512q_cycles"`
@@ -122,11 +119,6 @@ func engineThroughput() (eps, allocsPerEvent float64) {
 	return float64(events) / wall.Seconds(),
 		float64(after.Mallocs-before.Mallocs) / float64(events)
 }
-
-// preSoAEventsPerSec is torus_loadsweep_events_per_sec measured at the
-// commit before the struct-of-arrays + direct-handoff scheduler work,
-// on the reference host that produced the committed BENCH_sim.json.
-const preSoAEventsPerSec = 7128.0
 
 // torusLoadsweepThroughput runs the heaviest-path load point once
 // under the given trace spec and returns host throughput plus the
@@ -226,7 +218,6 @@ func canaries(r *benchReport) {
 	r.LoadsweepFlatKneeMBps = rows[0].KneeOfferedMBps
 	r.LoadsweepTorusKneeMBps = rows[1].KneeOfferedMBps
 	r.TorusLoadsweepEventsPerSec, r.TorusLoadsweepDeliveredMsgs = torusLoadsweepThroughput(cni.TraceSpec{})
-	r.TorusLoadsweepPreSoAPerSec = preSoAEventsPerSec
 
 	// Datacenter pack: the rpc sweep's headline tail point and the
 	// ring-allreduce completion per fabric. Specs are constructed, not

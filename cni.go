@@ -29,7 +29,7 @@
 //
 //   - The typed experiment registry that regenerates every table and
 //     figure in the paper's evaluation with uniform machine-readable
-//     output (Experiments, and the Experiment compat shim).
+//     output (Experiments, ExperimentData).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
@@ -349,9 +349,8 @@ type RunOptions = harness.RunOpts
 type Data = harness.Data
 
 // Experiments returns the typed experiment registry in presentation
-// order. ExperimentNames, the Experiment shim, and the CLI's `list`
-// are all derived from it, so a new experiment registers exactly
-// once.
+// order. ExperimentNames, ExperimentData, and the CLI's `list` are
+// all derived from it, so a new experiment registers exactly once.
 func Experiments() []ExperimentDef { return harness.Registry() }
 
 // ExperimentNames lists the registered experiment names in registry
@@ -377,15 +376,4 @@ func ExperimentData(name string, opt RunOptions) (*Table, *Data, error) {
 	}
 	t, d := e.Run(opt)
 	return t, d, nil
-}
-
-// Experiment regenerates one of the paper's tables or figures (or one
-// of this reproduction's ablations). appNames narrows the Fig 8 /
-// occupancy sweeps to specific benchmarks (nil runs all five).
-//
-// It is a thin compatibility shim over the typed registry; new code
-// should use Experiments or ExperimentData.
-func Experiment(name string, appNames []string) (*Table, error) {
-	t, _, err := ExperimentData(name, RunOptions{Apps: appNames})
-	return t, err
 }

@@ -115,5 +115,5 @@ func (a *Appbt) Run(cfg params.Config) Result {
 		})
 	}
 	tr := m.Run(sc)
-	return collect(a.Name(), cfg, m, tr)
+	return collect(a.Name(), cfg, tr)
 }

@@ -72,11 +72,6 @@ func ByName(name string) (App, error) {
 	return nil, fmt.Errorf("apps: unknown benchmark %q", name)
 }
 
-// StatsDump, when non-nil, is invoked with every finished run's
-// statistics. Tests and the CLI's --stats flag use it; it must not
-// retain the Stats beyond the call.
-var StatsDump func(cfg params.Config, st *sim.Stats)
-
 // build constructs a scenario machine, panicking on invalid
 // configurations (App.Run keeps the harness's no-error signature;
 // call cfg.Validate first for a friendly error).
@@ -89,10 +84,7 @@ func build(cfg params.Config) *scenario.Machine {
 }
 
 // collect turns a finished scenario run into a Result.
-func collect(app string, cfg params.Config, m *scenario.Machine, tr *scenario.Trace) Result {
-	if StatsDump != nil {
-		StatsDump(cfg, m.Stats())
-	}
+func collect(app string, cfg params.Config, tr *scenario.Trace) Result {
 	return Result{
 		App:             app,
 		Config:          cfg,

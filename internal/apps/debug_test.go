@@ -1,16 +1,17 @@
 package apps
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/params"
-	"repro/internal/sim"
 )
 
 // TestDebugSpsolveCounters prints aggregate counters for spsolve on
 // the queue-based CNIs, used while validating the flow-control model
-// against the paper's §5.2 narrative.
+// against the paper's §5.2 narrative. The counters are the run's
+// scenario.Trace deltas (every counter that moved).
 func TestDebugSpsolveCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("debug diagnostics")
@@ -25,16 +26,18 @@ func TestDebugSpsolveCounters(t *testing.T) {
 			strings.Contains(name, "send.block") ||
 			strings.Contains(name, "overflowWB")
 	}
-	defer func() { StatsDump = nil }()
 	for _, ni := range []params.NIKind{params.CNI4, params.CNI16Q, params.CNI512Q, params.CNI16Qm} {
-		StatsDump = func(cfg params.Config, st *sim.Stats) {
-			for _, name := range st.Counters() {
-				if interesting(name) {
-					t.Logf("  %-40s %d", name, st.Get(name))
-				}
+		tr := NewSpsolve().run(cfg16(ni))
+		names := make([]string, 0, len(tr.Counters))
+		for name := range tr.Counters {
+			if interesting(name) {
+				names = append(names, name)
 			}
 		}
-		res := NewSpsolve().Run(cfg16(ni))
-		t.Logf("%s total: %d cycles, %d msgs", ni, res.Cycles, res.Messages)
+		slices.Sort(names)
+		for _, name := range names {
+			t.Logf("  %-40s %d", name, tr.Counters[name])
+		}
+		t.Logf("%s total: %d cycles, %d msgs", ni, tr.Cycles(), tr.Counter("net.msg"))
 	}
 }

@@ -112,5 +112,5 @@ func (e *Em3d) Run(cfg params.Config) Result {
 		})
 	}
 	tr := m.Run(sc)
-	return collect(e.Name(), cfg, m, tr)
+	return collect(e.Name(), cfg, tr)
 }

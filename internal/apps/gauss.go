@@ -91,5 +91,5 @@ func (g *Gauss) Run(cfg params.Config) Result {
 		})
 	}
 	tr := m.Run(sc)
-	return collect(g.Name(), cfg, m, tr)
+	return collect(g.Name(), cfg, tr)
 }

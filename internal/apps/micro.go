@@ -67,9 +67,6 @@ func RoundTripDetail(cfg params.Config, size, rounds int) (sim.Time, uint64) {
 			ep.PollUntil(func() bool { return pongs == warmup+rounds })
 		})
 	m.Run(sc)
-	if StatsDump != nil {
-		StatsDump(cfg, m.Stats())
-	}
 	return (end - start) / sim.Time(rounds), uint64(busAtEnd-busAtStart) / uint64(rounds)
 }
 
@@ -281,9 +278,6 @@ func ProbeRTT(cfg params.Config, size, rounds, gap int, pattern BgPattern) sim.T
 		})
 	addBackground(m, sc, gap, pattern, &done)
 	m.Run(sc)
-	if StatsDump != nil {
-		StatsDump(cfg, m.Stats())
-	}
 	return (end - start) / sim.Time(rounds)
 }
 
@@ -422,9 +416,6 @@ func AllToAllExchange(cfg params.Config, size, rounds int) sim.Time {
 		})
 	}
 	m.Run(sc)
-	if StatsDump != nil {
-		StatsDump(cfg, m.Stats())
-	}
 	return (end - start) / sim.Time(rounds)
 }
 

@@ -82,5 +82,5 @@ func (md *Moldyn) Run(cfg params.Config) Result {
 		})
 	}
 	tr := m.Run(sc)
-	return collect(md.Name(), cfg, m, tr)
+	return collect(md.Name(), cfg, tr)
 }

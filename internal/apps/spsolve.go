@@ -53,7 +53,10 @@ type dagNode struct {
 }
 
 // Run implements App.
-func (s *Spsolve) Run(cfg params.Config) Result {
+func (s *Spsolve) Run(cfg params.Config) Result { return collect(s.Name(), cfg, s.run(cfg)) }
+
+// run executes the workload and returns the run's trace.
+func (s *Spsolve) run(cfg params.Config) *scenario.Trace {
 	m := build(cfg)
 	defer m.Close()
 	P := cfg.Nodes
@@ -126,6 +129,5 @@ func (s *Spsolve) Run(cfg params.Config) Result {
 			ep.PollUntil(func() bool { return fired[me] >= expected[me] })
 		})
 	}
-	tr := m.Run(sc)
-	return collect(s.Name(), cfg, m, tr)
+	return m.Run(sc)
 }

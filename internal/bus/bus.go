@@ -11,7 +11,6 @@ import (
 type Bus struct {
 	eng  *sim.Engine
 	kind params.BusKind
-	name string
 
 	mu     sim.FIFOMutex
 	agents []Agent
@@ -25,7 +24,6 @@ func New(e *sim.Engine, st *sim.Stats, kind params.BusKind, name string) *Bus {
 	return &Bus{
 		eng:    e,
 		kind:   kind,
-		name:   name,
 		busy:   st.Busy(name),
 		cycles: st.Counter(name + ".cycles"),
 	}
@@ -33,9 +31,6 @@ func New(e *sim.Engine, st *sim.Stats, kind params.BusKind, name string) *Bus {
 
 // Kind returns the bus kind (memory or I/O).
 func (b *Bus) Kind() params.BusKind { return b.kind }
-
-// BusName returns the stats/trace name.
-func (b *Bus) BusName() string { return b.name }
 
 // Attach registers an agent as a snooper on this bus.
 func (b *Bus) Attach(a Agent) { b.agents = append(b.agents, a) }

@@ -59,8 +59,8 @@ type Fabric struct {
 	// I/O bridge posted-write queue (paper: "the bridge buffers writes
 	// and coherent invalidations, but blocks on reads").
 	bridgeQ     sim.FIFO[postedWrite]
-	bridgeCond  *sim.Cond // signalled when bridgeQ gains an entry
-	bridgeSpace *sim.Cond // signalled when bridgeQ frees an entry
+	bridgeCond  sim.Cond // signalled when bridgeQ gains an entry
+	bridgeSpace sim.Cond // signalled when bridgeQ frees an entry
 
 	// txFree recycles transaction boxes: the Tx escapes through the
 	// SnoopTx interface call, so without a free list every coherent
@@ -109,8 +109,6 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	}
 	if withIO {
 		f.IO = New(e, st, params.IOBus, name+".iobus")
-		f.bridgeCond = sim.NewCond(e)
-		f.bridgeSpace = sim.NewCond(e)
 		e.Spawn(name+".bridge", f.bridgeDrain)
 	}
 	return f

@@ -165,10 +165,6 @@ func (q *Queue[T]) ConsumerLen() int {
 	return n
 }
 
-// ProducerLen reports the producer's (conservative) view of queue
-// occupancy, based on its lazy shadow head.
-func (q *Queue[T]) ProducerLen() int { return int(q.tail - q.shadowHead) }
-
 // FullMisses reports how many times the producer had to refresh the
 // shadow head — the "cache misses on head" the lazy-pointer
 // optimisation exists to minimise.

@@ -13,24 +13,12 @@ import (
 // serial run: parallelism only changes which host core evaluates a
 // cell, never the simulated schedule inside it.
 
-// Serial forces single-threaded cell evaluation (for A/B timing and
-// debugging; the output is identical either way).
-var Serial = false
-
 // runCells evaluates n independent cells with up to GOMAXPROCS host
-// workers and returns the results in cell-index order.
+// workers (one per cell when n is smaller) and returns the results in
+// cell-index order.
 func runCells[T any](n int, run func(i int) T) []T {
 	out := make([]T, n)
-	workers := runtime.GOMAXPROCS(0)
-	if Serial || workers > n {
-		// Degenerate pools keep ordering trivially; n below GOMAXPROCS
-		// still fans out one worker per cell.
-		if Serial {
-			workers = 1
-		} else {
-			workers = n
-		}
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = run(i)

@@ -151,24 +151,16 @@ func New(cfg params.Config) *Machine {
 	// Frames retire at the receiver, so per-node pools drain at every
 	// sender while a hotspot sink hoards boxes; pooling is shared at
 	// engine-ownership granularity instead. Get/put always run under
-	// the owning messenger's engine, so a pool may span exactly the
-	// nodes of one engine: the whole machine on the serial path, one
-	// shard each on the sharded path (engines run concurrently within
-	// an epoch and must never race on a pool).
-	if shards == nil {
-		fp := &msg.FramePool{}
-		for _, n := range m.Nodes {
-			n.Msgr.ShareFramePool(fp)
+	// the owning messenger's engine, so a pool spans exactly the nodes
+	// of one engine (engines run concurrently within an epoch and must
+	// never race on a pool).
+	pools := make(map[*sim.Engine]*msg.FramePool)
+	for id, n := range m.Nodes {
+		e := m.nodeEng(id)
+		if pools[e] == nil {
+			pools[e] = &msg.FramePool{}
 		}
-	} else {
-		pools := make([]*msg.FramePool, len(shards.Engines()))
-		for id, n := range m.Nodes {
-			si := shards.ShardOf(id)
-			if pools[si] == nil {
-				pools[si] = &msg.FramePool{}
-			}
-			n.Msgr.ShareFramePool(pools[si])
-		}
+		n.Msgr.ShareFramePool(pools[e])
 	}
 	st.SetEngine(eng)
 	if cfg.Trace.SampleEvery > 0 {

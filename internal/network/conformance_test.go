@@ -204,7 +204,7 @@ func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond(e)
+		kick := new(sim.Cond)
 		e.Spawn("src", func(p *sim.Process) {
 			for {
 				kick.Wait(p)
@@ -254,7 +254,7 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 		tor.Register(i, port)
 	}
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
-	kick := sim.NewCond(e)
+	kick := new(sim.Cond)
 	e.Spawn("src", func(p *sim.Process) {
 		for {
 			kick.Wait(p)
@@ -300,7 +300,7 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond(e)
+		kick := new(sim.Cond)
 		e.Spawn("src", func(p *sim.Process) {
 			for {
 				kick.Wait(p)
@@ -353,7 +353,7 @@ func TestTraceFaultPathZeroAlloc(t *testing.T) {
 		tor.Register(i, port)
 	}
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
-	kick := sim.NewCond(e)
+	kick := new(sim.Cond)
 	e.Spawn("src", func(p *sim.Process) {
 		for {
 			kick.Wait(p)

@@ -268,7 +268,6 @@ func (ep *endpoints) init(e *sim.Engine, st *sim.Stats, n int, ackLatency func(*
 	ep.windowFree = make([]sim.Cond, n*n)
 	ep.ackFns = make([]func(), n*n)
 	for i := range ep.windowFree {
-		ep.windowFree[i].Init(e)
 		slot := i
 		ep.ackFns[i] = func() {
 			ep.inFlight[slot]--
@@ -365,10 +364,6 @@ func (ep *endpoints) Pending(dst int) int { return ep.arrivals[dst].Len() }
 
 // InFlight reports unacked messages from src to dst (diagnostics).
 func (ep *endpoints) InFlight(src, dst int) int { return int(ep.inFlight[src*ep.n+dst]) }
-
-// DeliveryLatency exposes the fabric's delivery-latency histogram
-// (also reachable as the "net.delivery" histogram in Stats).
-func (ep *endpoints) DeliveryLatency() *sim.Histogram { return ep.deliveryHist }
 
 // TotalInFlight sums unacked messages over every (src, dst) window —
 // the sliding-window occupancy gauge the trace sampler reads.

@@ -40,39 +40,34 @@ type pendTx struct {
 //
 // Hot state is struct-of-arrays: every per-link quantity lives in a
 // parallel index-addressed slice (li = node*numDirs+dir) instead of a
-// per-link struct full of queue headers — a busy bitset, waiting-queue
+// per-link struct full of queue headers — busy flags, waiting-queue
 // heads, flight rings — and routing reads precomputed tables rather
 // than redoing coordinate arithmetic per hop.
 //
 // The event cadence (a release and an arrival per hop, both created
 // at transmit time) is deliberately unchanged. Batched variants that
-// collapse the pair into one self-draining event per link (sim.Chain)
-// were built and measured: simulated timestamps stay exact, but the
-// collapsed event necessarily allocates its sequence number at a
-// different instant than the release it replaces, which flips
-// (time, seq) tie order between same-cycle arrivals at contended
-// links and drifts the pinned goldens (probe RTT moved ~5% under a
-// saturating all-to-all background). Byte-identical goldens pin the
-// cadence; the struct-of-arrays layout is where the fabric's cycles
-// go instead.
+// collapse the pair into one self-draining event per link (a sim.Chain
+// batch-schedule helper) were built, measured and deleted: simulated
+// timestamps stay exact, but the collapsed event necessarily allocates
+// its sequence number at a different instant than the release it
+// replaces, which flips (time, seq) tie order between same-cycle
+// arrivals at contended links and drifts the pinned goldens (probe
+// RTT moved ~5% under a saturating all-to-all background).
+// Byte-identical goldens pin the cadence; the struct-of-arrays layout
+// is where the fabric's cycles go instead.
 type Torus struct {
 	endpoints
 	w, h      int
 	hopLat    sim.Time
 	occupancy sim.Time
 
-	// Per-link SoA hot state, shared by both modes: busy bitset,
-	// FIFO waiting queues, and pre-built release callbacks.
-	busyBits   []uint64
+	// Per-link SoA hot state, shared by both modes: busy flags, FIFO
+	// waiting queues, and pre-built release callbacks. A busy flag is
+	// one byte, so on a sharded machine each is single-writer (only
+	// the shard owning the link's router touches it).
+	busy       []bool
 	queues     []sim.FIFO[*Msg]
 	releaseFns []func()
-	// busyB replaces the bitset on sharded machines (allocated by
-	// AttachShards): a bitset word packs 64 links, so two shards
-	// flipping bits in the same word would be a read-modify-write race.
-	// One byte per link keeps each byte single-writer (a link's busy
-	// state is only touched by the shard owning its router); serial
-	// machines keep the denser bitset.
-	busyB []uint8
 	// flight[li] holds serialised messages in hop-latency flight;
 	// constant per-link delay means arrivals fire in transmit order,
 	// landed by the pre-built arriveFns (fault-free path only).
@@ -106,7 +101,7 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 		h:          h,
 		hopLat:     params.TorusHopLatency,
 		occupancy:  params.TorusLinkOccupancy,
-		busyBits:   make([]uint64, (n*numDirs+63)/64),
+		busy:       make([]bool, n*numDirs),
 		flight:     make([]sim.Ring[*Msg], n*numDirs),
 		queues:     make([]sim.FIFO[*Msg], n*numDirs),
 		releaseFns: make([]func(), n*numDirs),
@@ -132,9 +127,6 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 	}
 	return t
 }
-
-// Dims returns the torus width and height.
-func (t *Torus) Dims() (w, h int) { return t.w, t.h }
 
 // coords maps a node id to grid coordinates (row-major).
 func (t *Torus) coords(id int) (x, y int) { return id % t.w, id / t.w }
@@ -209,7 +201,6 @@ func (t *Torus) neighbor(node, dir int) int {
 // would change results.
 func (t *Torus) AttachShards(sh *sim.ShardSet) {
 	t.attachShards(sh)
-	t.busyB = make([]uint8, t.n*numDirs)
 	sh.SetDispatch(func(ev *sim.CrossEvent) {
 		if ev.Kind == xkAck {
 			slot := int(ev.Node)*t.n + int(ev.Aux)
@@ -252,7 +243,7 @@ func (t *Torus) forward(m *Msg, node int) {
 		return
 	}
 	li := node*numDirs + int(dir)
-	if t.busy(li) {
+	if t.busy[li] {
 		t.linkWaits.Inc()
 		if t.rec != nil {
 			t.noteMsg(node, trace.KLinkWait, int32(li), m)
@@ -268,7 +259,7 @@ func (t *Torus) forward(m *Msg, node int) {
 // Both events are created here, at transmit time, in release-then-
 // arrive order — the cadence the goldens pin (see the type comment).
 func (t *Torus) transmit(li int, m *Msg) {
-	t.setBusy(li)
+	t.busy[li] = true
 	t.hops.Inc()
 	if t.rec != nil {
 		t.noteMsg(li/numDirs, trace.KLinkTx, int32(li), m)
@@ -302,7 +293,7 @@ func (t *Torus) transmit(li int, m *Msg) {
 // release frees link li after a serialisation completes and starts
 // the next queued message, if any.
 func (t *Torus) release(li int) {
-	t.clearBusy(li)
+	t.busy[li] = false
 	if t.rec != nil {
 		t.rec.Note(li/numDirs, trace.KLinkFree, 0, int32(li), -1, -1, 0, 0)
 	}
@@ -323,7 +314,7 @@ func (t *Torus) Links() int { return t.n * numDirs }
 
 // LinkBusy reports whether link li is currently serialising a message
 // (the trace sampler's occupancy gauge).
-func (t *Torus) LinkBusy(li int) bool { return t.busy(li) }
+func (t *Torus) LinkBusy(li int) bool { return t.busy[li] }
 
 // LinkQueueLen reports how many messages wait behind link li (the
 // trace sampler's queue-depth gauge).
@@ -333,31 +324,6 @@ func (t *Torus) LinkQueueLen(li int) int { return t.queues[li].Len() }
 func (t *Torus) LinkName(li int) string {
 	dirs := [numDirs]string{"x+", "x-", "y+", "y-"}
 	return fmt.Sprintf("n%d.%s", li/numDirs, dirs[li%numDirs])
-}
-
-// busy reports / sets / clears link li's busy state: one byte per
-// link on sharded machines, a bit in the packed bitset otherwise.
-func (t *Torus) busy(li int) bool {
-	if t.busyB != nil {
-		return t.busyB[li] != 0
-	}
-	return t.busyBits[li>>6]&(1<<(li&63)) != 0
-}
-
-func (t *Torus) setBusy(li int) {
-	if t.busyB != nil {
-		t.busyB[li] = 1
-		return
-	}
-	t.busyBits[li>>6] |= 1 << (li & 63)
-}
-
-func (t *Torus) clearBusy(li int) {
-	if t.busyB != nil {
-		t.busyB[li] = 0
-		return
-	}
-	t.busyBits[li>>6] &^= 1 << (li & 63)
 }
 
 // faultTransmit is transmit's fault-mode tail: the degrade window

@@ -35,8 +35,8 @@ type cni4 struct {
 	sendStaged *network.Msg
 	sendFIFO   []*network.Msg // pulled, awaiting injection
 	sendCap    int
-	sendWork   *sim.Cond
-	injectWork *sim.Cond
+	sendWork   sim.Cond
+	injectWork sim.Cond
 
 	// Receive side.
 	recvFIFO    []*network.Msg // arrived, behind the CDR
@@ -44,20 +44,17 @@ type cni4 struct {
 	recvCur     *network.Msg // message currently exposed in the CDR
 	recvReady   bool         // status register value
 	recvPopReq  bool         // processor posted the pop store
-	recvWork    *sim.Cond
+	recvWork    sim.Cond
 	procCDRCopy [params.BlocksPerNetMsg]bool // proc caches recv CDR block?
 }
 
 func newCNI4(d Deps) *cni4 {
 	n := &cni4{
-		d:          d,
-		name:       d.name(),
-		ctr:        d.counters(),
-		sendCap:    params.CNI4DeviceFIFOMsgs,
-		recvCap:    params.CNI4DeviceFIFOMsgs,
-		sendWork:   sim.NewCond(d.Eng),
-		injectWork: sim.NewCond(d.Eng),
-		recvWork:   sim.NewCond(d.Eng),
+		d:       d,
+		name:    d.name(),
+		ctr:     d.counters(),
+		sendCap: params.CNI4DeviceFIFOMsgs,
+		recvCap: params.CNI4DeviceFIFOMsgs,
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".send", n.sendEngine)

@@ -46,9 +46,9 @@ type cniq struct {
 	sendPulled    map[uint64]bool        // block already at the device (hint pull / WB)
 	sendHints     sim.FIFO[uint64]       // virtual-polling pull hints (block addrs)
 	injectFIFO    sim.FIFO[*network.Msg]
-	sendWork      *sim.Cond
-	injectWork    *sim.Cond
-	injectSpace   *sim.Cond
+	sendWork      sim.Cond
+	injectWork    sim.Cond
+	injectSpace   sim.Cond
 
 	// ---- receive queue: device produces, processor consumes ----
 	recvTailPos  uint64                 // device tail (monotonic)
@@ -56,8 +56,8 @@ type cniq struct {
 	recvProcHead uint64                 // processor head (monotonic)
 	recvStage    sim.FIFO[*network.Msg] // accepted from the wire, awaiting entry write
 	recvEntries  sim.FIFO[*network.Msg] // visible to the processor
-	recvWork     *sim.Cond
-	recvHeadMove *sim.Cond // snooped CRI on the head-pointer block
+	recvWork     sim.Cond
+	recvHeadMove sim.Cond // snooped CRI on the head-pointer block
 
 	// procCopies tracks which of this NI's blocks the processor cache
 	// holds, so the device knows when publishing requires invalidation.
@@ -82,20 +82,15 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 	qblocks := d.Cfg.QueueBlocks()
 	total := d.Cfg.TotalQueueBlocks()
 	n := &cniq{
-		d:            d,
-		kind:         d.Cfg.NI,
-		name:         d.name(),
-		ctr:          d.counters(),
-		memHomed:     memHomed,
-		entries:      total / params.BlocksPerNetMsg,
-		sendPulled:   make(map[uint64]bool),
-		procCopies:   make(map[uint64]bool),
-		live:         make(map[uint64]bool),
-		sendWork:     sim.NewCond(d.Eng),
-		injectWork:   sim.NewCond(d.Eng),
-		injectSpace:  sim.NewCond(d.Eng),
-		recvWork:     sim.NewCond(d.Eng),
-		recvHeadMove: sim.NewCond(d.Eng),
+		d:          d,
+		kind:       d.Cfg.NI,
+		name:       d.name(),
+		ctr:        d.counters(),
+		memHomed:   memHomed,
+		entries:    total / params.BlocksPerNetMsg,
+		sendPulled: make(map[uint64]bool),
+		procCopies: make(map[uint64]bool),
+		live:       make(map[uint64]bool),
 	}
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")

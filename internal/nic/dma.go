@@ -33,8 +33,8 @@ type dmaNI struct {
 	deposited  []*network.Msg // in memory, awaiting processor pickup
 	pending    int            // completions not yet taken (interrupt coalescing)
 
-	sendWork *sim.Cond
-	recvWork *sim.Cond
+	sendWork sim.Cond
+	recvWork sim.Cond
 
 	// Ring cursors: successive messages occupy successive buffer
 	// slots, as real descriptor rings do (reusing one address would
@@ -54,11 +54,9 @@ func slotAddr(seq uint64, b int) uint64 {
 
 func newDMA(d Deps) *dmaNI {
 	n := &dmaNI{
-		d:        d,
-		name:     d.name(),
-		ctr:      d.counters(),
-		sendWork: sim.NewCond(d.Eng),
-		recvWork: sim.NewCond(d.Eng),
+		d:    d,
+		name: d.name(),
+		ctr:  d.counters(),
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".send", n.sendEngine)

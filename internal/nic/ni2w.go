@@ -27,17 +27,16 @@ type ni2w struct {
 	recvFIFO []*network.Msg
 	recvCap  int
 
-	injectWork *sim.Cond
+	injectWork sim.Cond
 }
 
 func newNI2w(d Deps) *ni2w {
 	n := &ni2w{
-		d:          d,
-		name:       d.name(),
-		ctr:        d.counters(),
-		sendCap:    d.Cfg.NI2wFIFO(),
-		recvCap:    d.Cfg.NI2wFIFO(),
-		injectWork: sim.NewCond(d.Eng),
+		d:       d,
+		name:    d.name(),
+		ctr:     d.counters(),
+		sendCap: params.NI2wFIFOMsgs,
+		recvCap: params.NI2wFIFOMsgs,
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".inject", n.injector)

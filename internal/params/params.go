@@ -814,11 +814,9 @@ type Config struct {
 	NoSenseReverse bool // receiver explicitly clears valid bits (extra ownership traffic)
 
 	// QueueBlocksOverride, if nonzero, replaces the NI's exposed queue
-	// size (for sweep ablations).
+	// size (for sweep ablations). Device-homed CQs accept
+	// [BlocksPerNetMsg, 512].
 	QueueBlocksOverride int
-
-	// NI2wFIFOOverride, if nonzero, replaces NI2wFIFOMsgs.
-	NI2wFIFOOverride int
 
 	// Workload, when non-nil, attaches a traffic-generator spec for
 	// the workload/telemetry subsystem (internal/workload). nil for
@@ -862,6 +860,16 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("params: Shards must be >= 0, have %d", c.Shards)
 	}
+	if c.QueueBlocksOverride < 0 {
+		return fmt.Errorf("params: QueueBlocksOverride must be >= 0, have %d", c.QueueBlocksOverride)
+	}
+	// A device-homed queue needs at least one message entry, and must
+	// fit the device's address window, which holds CNI512Q's queue.
+	if q := c.QueueBlocksOverride; q != 0 && c.NI.IsCQ() && !c.NI.MemoryHomed() &&
+		(q < BlocksPerNetMsg || q > CNI512Q.QueueBlocks()) {
+		return fmt.Errorf("params: QueueBlocksOverride for %v must be in [%d, %d], have %d",
+			c.NI, BlocksPerNetMsg, CNI512Q.QueueBlocks(), q)
+	}
 	if c.Shards > 1 && c.Trace.SampleEvery > 0 {
 		return fmt.Errorf("params: the trace sampler reads cross-shard gauges and needs a single event loop; use Shards <= 1 with Trace.SampleEvery")
 	}
@@ -895,14 +903,6 @@ func (c Config) TotalQueueBlocks() int {
 		return 512
 	}
 	return c.QueueBlocks()
-}
-
-// NI2wFIFO returns the effective baseline FIFO depth in messages.
-func (c Config) NI2wFIFO() int {
-	if c.NI2wFIFOOverride != 0 {
-		return c.NI2wFIFOOverride
-	}
-	return NI2wFIFOMsgs
 }
 
 // Name renders a short label like "CNI16Qm@memory" for tables.

@@ -31,6 +31,44 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateQueueBlocksOverride pins the override's accepted range:
+// negative sizes for every NI, and device-homed CQ sizes below one
+// message entry (divide by zero) or beyond the device address window
+// (unmapped-address panic), are rejected with an error naming the
+// field.
+func TestValidateQueueBlocksOverride(t *testing.T) {
+	cases := []struct {
+		ni     NIKind
+		blocks int
+		ok     bool
+	}{
+		{CNI16Q, -1, false},
+		{CNI16Q, 1, false},
+		{CNI16Q, 3, false},
+		{CNI16Q, 4, true},
+		{CNI512Q, 600, false},
+		{CNI512Q, 4096, false},
+		{CNI512Q, 512, true},
+		{CNI512Q, 8, true},
+		{NI2w, -1, false},
+		{CNI4, -1, false},
+		{CNI16Qm, -1, false},
+		{DMA, -1, false},
+		{NI2w, 3, true},
+		{CNI16Qm, 32, true},
+	}
+	for _, c := range cases {
+		cfg := Config{Nodes: 2, NI: c.ni, Bus: MemoryBus, QueueBlocksOverride: c.blocks}
+		err := cfg.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%v/%d: unexpected error %v", c.ni, c.blocks, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "QueueBlocksOverride")) {
+			t.Errorf("%v/%d: error %v does not reject QueueBlocksOverride", c.ni, c.blocks, err)
+		}
+	}
+}
+
 func TestQueueBlocks(t *testing.T) {
 	if got := (Config{NI: CNI512Q}).QueueBlocks(); got != 512 {
 		t.Errorf("CNI512Q queue = %d", got)
@@ -102,15 +140,6 @@ func TestMessageGeometry(t *testing.T) {
 	}
 	if BlocksPerNetMsg != 4 {
 		t.Errorf("BlocksPerNetMsg = %d, want 4", BlocksPerNetMsg)
-	}
-}
-
-func TestNI2wFIFOOverride(t *testing.T) {
-	if got := (Config{}).NI2wFIFO(); got != NI2wFIFOMsgs {
-		t.Errorf("default FIFO = %d", got)
-	}
-	if got := (Config{NI2wFIFOOverride: 9}).NI2wFIFO(); got != 9 {
-		t.Errorf("override FIFO = %d", got)
 	}
 }
 

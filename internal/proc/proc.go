@@ -32,8 +32,8 @@ type CPU struct {
 	name  string
 
 	sbQ     sim.FIFO[pendingStore]
-	sbWork  *sim.Cond
-	sbSpace *sim.Cond
+	sbWork  sim.Cond
+	sbSpace sim.Cond
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
@@ -49,8 +49,6 @@ func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, c *cache.Cache, id int, na
 		fab:          f,
 		cache:        c,
 		name:         name,
-		sbWork:       sim.NewCond(e),
-		sbSpace:      sim.NewCond(e),
 		sbFull:       st.Counter(name + ".sb.full"),
 		membarStalls: st.Counter(name + ".membar.stall"),
 	}

@@ -5,18 +5,14 @@ package sim
 // single-threaded, the usual "recheck the predicate in a loop" rule
 // still applies (another process may run between the signal and the
 // resumption), but no mutex is required.
+//
+// The zero value is ready to use and binds to no engine: each waiter
+// is woken on its own process's engine, so conds can be embedded by
+// value or packed into a slice (which must not be reallocated while
+// waiters are queued).
 type Cond struct {
-	eng     *Engine
 	waiters FIFO[*Process]
 }
-
-// NewCond returns a condition variable bound to the engine.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
-
-// Init binds a zero-value condition variable in place, for conds
-// packed into a slice (one backing array instead of a heap object per
-// cond). The slice must not be reallocated while waiters are queued.
-func (c *Cond) Init(e *Engine) { c.eng = e }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Process) {

@@ -116,7 +116,7 @@ func TestProcessInterleavingDeterministic(t *testing.T) {
 
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	var order []string
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
@@ -148,7 +148,7 @@ func TestCondSignalFIFO(t *testing.T) {
 
 func TestStopUnwindsParkedProcesses(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	for i := 0; i < 5; i++ {
 		e.Spawn("stuck", func(p *Process) {
 			c.Wait(p) // never signalled

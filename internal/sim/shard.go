@@ -196,21 +196,9 @@ func NewShardSet(nodes, shards int, lookahead Time) *ShardSet {
 	return s
 }
 
-// Shards returns the shard (engine) count.
-func (s *ShardSet) Shards() int { return len(s.engines) }
-
-// ShardOf returns the shard owning node.
-func (s *ShardSet) ShardOf(node int) int { return int(s.shardOf[node]) }
-
 // Engine returns the engine owning node. Every component of a node
 // must schedule on (and spawn processes on) this engine.
 func (s *ShardSet) Engine(node int) *Engine { return s.engines[s.shardOf[node]] }
-
-// Engines returns the per-shard engines.
-func (s *ShardSet) Engines() []*Engine { return s.engines }
-
-// Lookahead returns the conservative epoch width.
-func (s *ShardSet) Lookahead() Time { return s.lookahead }
 
 // SetDispatch installs the cross-event dispatcher. It runs on the
 // destination node's engine at the event's At.

@@ -51,9 +51,6 @@ func NewSampler(eng *sim.Engine, every sim.Time) *Sampler {
 	return s
 }
 
-// Every returns the sampling period in cycles.
-func (s *Sampler) Every() sim.Time { return s.every }
-
 // Gauge registers a point-in-time column (queue depth, busy links).
 func (s *Sampler) Gauge(name string, probe func() float64) {
 	s.cols = append(s.cols, column{name: name, probe: probe})
