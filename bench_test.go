@@ -182,7 +182,7 @@ func benchLoadsweepPoint(b *testing.B, topo Topology) {
 
 // BenchmarkTorusLoadsweep is the heaviest-path benchmark: a 16-node
 // CNI512Q torus loadsweep point at the saturation knee. The benchjson
-// torus_loadsweep_events_per_sec canary runs exactly this workload.
+// torus_loadsweep_msgs_per_sec canary runs exactly this workload.
 func BenchmarkTorusLoadsweep(b *testing.B) { benchLoadsweepPoint(b, TopoTorus) }
 
 // BenchmarkFlatLoadsweep is the flat-fabric twin of
@@ -210,7 +210,7 @@ func benchShard4kPoint(b *testing.B, shards int) {
 
 // BenchmarkShard4kNodes is the sharded-engine scale benchmark: the
 // 4096-node uniform-overload torus point at Shard4kBenchShards. The
-// benchjson events_per_sec_4k_nodes canary runs exactly this
+// benchjson shard_4k_msgs_per_sec canary runs exactly this
 // workload, and its --check gate compares it against the serial twin
 // below.
 func BenchmarkShard4kNodes(b *testing.B) { benchShard4kPoint(b, Shard4kBenchShards) }

@@ -211,7 +211,7 @@ const (
 
 // LoadsweepBench* pin the "heaviest path" benchmark load point shared
 // by BenchmarkTorusLoadsweep and the benchjson
-// torus_loadsweep_events_per_sec canary: the default sweep's machine
+// torus_loadsweep_msgs_per_sec canary: the default sweep's machine
 // at the CNI512Q torus saturation knee.
 const (
 	LoadsweepBenchNodes       = harness.LoadsweepBenchNodes
@@ -221,7 +221,7 @@ const (
 )
 
 // Shard4kBench* pin the sharded-engine benchmark point shared by
-// BenchmarkShard4kNodes and the benchjson events_per_sec_4k_nodes
+// BenchmarkShard4kNodes and the benchjson shard_4k_msgs_per_sec
 // canary: uniform overload on a 4096-node torus, serial engine vs 64
 // shards (see internal/harness/shardbench.go for the regime).
 const (

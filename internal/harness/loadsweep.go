@@ -34,7 +34,7 @@ const (
 
 // LoadsweepBench* pin the "heaviest path" benchmark load point that
 // BenchmarkTorusLoadsweep and the benchjson
-// torus_loadsweep_events_per_sec canary share: the default sweep's
+// torus_loadsweep_msgs_per_sec canary share: the default sweep's
 // machine at the CNI512Q torus saturation knee (the 7th ladder rung).
 const (
 	LoadsweepBenchNodes       = SweepNodes

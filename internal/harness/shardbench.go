@@ -1,7 +1,7 @@
 package harness
 
 // Shard4kBench* pin the sharded-engine benchmark point that the
-// benchjson events_per_sec_4k_nodes canary measures: a uniform-
+// benchjson shard_4k_msgs_per_sec canary measures: a uniform-
 // destination open-loop workload on a 4096-node torus, offered far
 // past saturation (64 MB/s per node) so in-flight frames, credit
 // stalls, and retries dominate the event mix — the regime where the

@@ -285,8 +285,8 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 // TestTraceHotPathZeroAlloc pins the recorder-attached steady-state
 // inject->deliver->ack cycle at zero allocations per event on both
 // fabrics — the telemetry tentpole's enabled-cost half (DESIGN.md
-// §12): hooks write fixed-size records into preallocated per-node
-// rings through prebuilt callbacks, never closures or boxing.
+// §12): hooks write fixed-size records into per-node rings through
+// prebuilt callbacks, never closures or boxing.
 func TestTraceHotPathZeroAlloc(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, c implCase) {
 		e := sim.NewEngine()
@@ -310,9 +310,9 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 			}
 		})
 		e.RunAll()
-		// Warm the FIFO backing arrays and the event heap; the rings are
-		// preallocated, and small enough here that the steady state wraps
-		// them (wrapping must not allocate either).
+		// Warm the FIFO backing arrays, the event heap and the ring
+		// chunks; the rings are small enough here that the steady state
+		// wraps them (wrapping must not allocate either).
 		for i := 0; i < 8; i++ {
 			kick.Signal()
 			e.RunAll()

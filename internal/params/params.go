@@ -501,9 +501,10 @@ func (f *Faults) Validate(nodes int) error {
 
 // TraceRingDefault is the per-node record-ring capacity used when
 // Trace.RingSize is left zero. Records are 32 bytes, so the default
-// costs 512 KB per node — big enough that a loadsweep-length run
-// (~100k cycles) keeps every record, small enough to preallocate
-// without thought.
+// costs up to 512 KB per node — big enough that a loadsweep-length
+// run (~100k cycles) keeps every record. Ring storage is allocated in
+// chunks as records arrive, so a short run pays only for what it
+// writes.
 const TraceRingDefault = 16384
 
 // TraceSampleDefault is the sampling period applied when a consumer
@@ -519,7 +520,7 @@ const TraceSampleDefault = 1000
 type Trace struct {
 	// Enabled turns on message-lifecycle recording: fixed-size records
 	// at inject/admit/link/deliver/ack/retransmit hooks, written into
-	// preallocated per-node rings (internal/trace.Recorder) and
+	// per-node rings (internal/trace.Recorder) and
 	// exportable as Chrome trace-event JSON for Perfetto.
 	Enabled bool
 	// RingSize is the per-node record-ring capacity; 0 means

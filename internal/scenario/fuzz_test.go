@@ -9,8 +9,9 @@ import (
 // FuzzValidatedConfigRuns checks the Validate contract from the
 // builder's side: any Config that Validate accepts builds a machine,
 // runs a short ring of sends under a horizon, and closes without a
-// panic. A panic on a simulated-process goroutine kills the whole
-// process, so Validate is the only place a bad knob can be caught.
+// panic. A panic in a simulated process is re-raised by Run, so the
+// fuzzer reports it as a failing input; Validate is where a bad knob
+// must be caught.
 //
 // Inputs: node count, NI, bus, topology, shard count, the five
 // ablation bools (bits of flags), QueueBlocksOverride, tracing

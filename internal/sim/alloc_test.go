@@ -50,6 +50,21 @@ func TestProcessWakeZeroAlloc(t *testing.T) {
 	e.Stop()
 }
 
+func TestProcessSwitchZeroAlloc(t *testing.T) {
+	// Two processes alternate, so every wake hands the engine from one
+	// coroutine to the other: each Run below makes 16 switches.
+	e := NewEngine()
+	spawnAlternating(e)
+	e.Run(16)
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Run(e.Now() + 16)
+	})
+	if allocs != 0 {
+		t.Errorf("16 process switches allocate %.1f objects, want 0", allocs)
+	}
+	e.Stop()
+}
+
 func TestCounterAddZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	s := NewStats(e)

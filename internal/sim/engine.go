@@ -6,9 +6,10 @@
 // all either event callbacks or Processes scheduled by one Engine.
 //
 // Determinism: events fire in (time, sequence) order, and at most one
-// process goroutine runs at any instant — the engine hands control to a
-// process and does not proceed until that process parks or terminates.
-// Two runs with the same inputs therefore produce identical schedules.
+// process runs at any instant — each process is an iter.Pull coroutine,
+// and the engine resumes it and does not proceed until it parks or
+// terminates. Two runs with the same inputs therefore produce identical
+// schedules.
 //
 // An Engine is not safe for concurrent use from outside the simulation;
 // all interaction must happen from event callbacks or processes.
@@ -117,15 +118,13 @@ type Engine struct {
 	seq     uint64
 	horizon Time // active Run's bound; valid while events dispatch
 	events  eventHeap
-	yield   chan struct{} // the token returns here when no event is dispatchable
+	handoff *Process // woken by a parking process; Run resumes it next
 	stopped bool
 	procs   []*Process // every spawned process, for Stop to unwind
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -165,12 +164,16 @@ func (e *Engine) scheduleProc(delay Time, p *Process) {
 // Processes blocked on conditions when the heap drains remain parked;
 // call Stop to unwind them.
 //
-// Scheduling uses direct handoff: resuming a process lends it the
-// event-loop token, and the process keeps dispatching events itself
-// when it next parks (Engine.next), handing the token straight to the
-// next runnable process. Control returns here only when no event is
-// dispatchable, so a chain of process wakes costs one goroutine switch
-// per wake instead of a park/resume round trip through this loop.
+// Scheduling uses coroutine handoff: resuming a process switches to
+// its coroutine without the goroutine scheduler, and the process keeps
+// dispatching events itself when it next parks (Engine.next). A wake
+// of its own continues it with no switch at all; a wake of another
+// process yields back here through Engine.handoff, which Run resumes
+// at once.
+//
+// A panic in a process body is re-raised here, from Run, with its
+// original value, so the caller can recover it. The engine must not
+// be run again; Stop still unwinds the remaining processes.
 func (e *Engine) Run(horizon Time) Time {
 	if e.stopped {
 		panic("sim: Run after Stop")
@@ -187,8 +190,10 @@ func (e *Engine) Run(horizon Time) Time {
 			if ev.p.done {
 				continue
 			}
-			ev.p.resume <- struct{}{} // lend the token to the process
-			<-e.yield                 // token returned: nothing dispatchable
+			for p := ev.p; p != nil; p = e.handoff {
+				e.handoff = nil
+				p.resume()
+			}
 		} else {
 			ev.fn()
 		}
@@ -230,24 +235,18 @@ func (e *Engine) advanceTo(t Time) {
 	}
 }
 
-// Stop unwinds every parked process goroutine and marks the engine
-// dead. It must be called after Run returns (never from inside the
-// simulation). Safe to call more than once.
+// Stop unwinds every parked process and marks the engine dead. It
+// must be called after Run returns (never from inside the simulation).
+// Safe to call more than once. Stopping a parked coroutine makes its
+// yield return false, park panics errAborted and Spawn's wrapper
+// swallows it; a process that never started just never runs.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	// After Run returns every live process is blocked in block()
-	// waiting on its resume channel. Resuming with stopped set is the
-	// poisoned handoff: block panics errAborted, and the goroutine's
-	// recover acknowledges on the yield channel before exiting.
 	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.yield
+		p.stop()
 	}
 	e.procs = nil
 }

@@ -53,6 +53,35 @@ func BenchmarkEngineProcessSleep(b *testing.B) {
 	e.Stop()
 }
 
+// spawnAlternating starts two processes that take turns forever: each
+// sleeps 2 cycles, one offset by a cycle, so every wake belongs to the
+// process that is not running and each one is a process switch.
+func spawnAlternating(e *Engine) {
+	for i := 0; i < 2; i++ {
+		offset := Time(i)
+		e.Spawn("pingpong", func(p *Process) {
+			p.Sleep(offset)
+			for {
+				p.Sleep(2)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineProcessSwitch measures one process switch per op,
+// where BenchmarkEngineProcessSleep's lone process only ever takes the
+// self-wake fast path.
+func BenchmarkEngineProcessSwitch(b *testing.B) {
+	e := NewEngine()
+	spawnAlternating(e)
+	e.Run(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(e.Now() + Time(b.N))
+	b.StopTimer()
+	e.Stop()
+}
+
 // boxedEvent/boxedHeap reproduce the seed implementation: a binary
 // heap through container/heap's interface{} API, boxing one event per
 // push.

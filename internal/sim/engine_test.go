@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -146,17 +148,109 @@ func TestCondSignalFIFO(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits briefly for the goroutine count to fall back
+// to base and reports the last count seen. Callers check only for
+// more than base: goroutines left over from earlier tests may exit
+// meanwhile.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 func TestStopUnwindsParkedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	c := new(Cond)
+	unwound := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn("stuck", func(p *Process) {
+			defer func() { unwound++ }()
 			c.Wait(p) // never signalled
 		})
 	}
-	e.RunAll()
+	e.Spawn("sleeper", func(p *Process) {
+		defer func() { unwound++ }()
+		p.Sleep(1000) // wakes past the horizon
+	})
+	finished := false
+	e.Spawn("finisher", func(p *Process) {
+		p.Sleep(10)
+		finished = true
+	})
+	e.Run(100)
+	started := false
+	e.Spawn("late", func(p *Process) { started = true }) // never activated
+	if !finished {
+		t.Fatal("finisher did not run to completion")
+	}
 	e.Stop() // must not hang
 	e.Stop() // idempotent
+	if unwound != 6 {
+		t.Errorf("Stop ran the defers of %d parked processes, want 6", unwound)
+	}
+	if started {
+		t.Error("Stop started a process that was never activated")
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("goroutines after Stop = %d, want baseline %d", n, base)
+	}
+}
+
+// boom is the value a process body panics with in the panic tests.
+type boom struct{ at Time }
+
+// runRecovering calls run and returns what it panicked with, if anything.
+func runRecovering(run func()) (r any) {
+	defer func() { r = recover() }()
+	run()
+	return nil
+}
+
+func TestProcessPanicReraisedByRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	c := new(Cond)
+	e.Spawn("waiter", func(p *Process) { c.Wait(p) })
+	e.Spawn("sleeper", func(p *Process) { p.Sleep(1000) })
+	e.Spawn("bomb", func(p *Process) {
+		p.Sleep(10)
+		panic(boom{at: p.Now()})
+	})
+	e.Spawn("bystander", func(p *Process) { p.Sleep(5) })
+	r := runRecovering(func() { e.RunAll() })
+	if r != (boom{at: 10}) {
+		t.Fatalf("Run re-raised %#v, want boom{at: 10}", r)
+	}
+	e.Stop()
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("goroutines after Stop = %d, want baseline %d", n, base)
+	}
+}
+
+func TestProcessPanicReraisedByShardSetInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shards := range []int{1, 2} {
+		base := runtime.NumGoroutine()
+		s := NewShardSet(2, shards, 10)
+		c := new(Cond)
+		s.Engine(0).Spawn("waiter", func(p *Process) { c.Wait(p) })
+		s.Engine(1).Spawn("bomb", func(p *Process) {
+			p.Sleep(25)
+			panic(boom{at: p.Now()})
+		})
+		r := runRecovering(func() { s.RunAll() })
+		if r != (boom{at: 25}) {
+			t.Fatalf("%d shards: Run re-raised %#v, want boom{at: 25}", shards, r)
+		}
+		s.Stop()
+		if n := settleGoroutines(base); n > base {
+			t.Errorf("%d shards: goroutines after Stop = %d, want baseline %d", shards, n, base)
+		}
+	}
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -1,8 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// errAborted unwinds a parked process goroutine when the engine stops.
+// errAborted unwinds a parked process when the engine stops.
 type errAborted struct{}
 
 // Process is a cooperative simulated thread of control. Exactly one
@@ -13,34 +16,32 @@ type Process struct {
 	eng  *Engine
 	name string
 
-	resume chan struct{}
-	parked bool // blocked in park(), eligible to be woken
-	waking bool // a wake event is already scheduled
+	resume func() (struct{}, bool) // run the coroutine until it yields or ends
+	stop   func()                  // unwind a parked coroutine
+	yield  func(struct{}) bool     // suspend back to the resumer
+	waking bool                    // a wake event is already scheduled
 	done   bool
 }
 
 // Spawn creates a process running body and schedules its first
-// activation at the current time. The body runs on its own goroutine
-// but never concurrently with the engine or another process.
+// activation at the current time. The body runs as an iter.Pull
+// coroutine: it starts on its first wake and never runs concurrently
+// with the engine or another process.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{eng: e, name: name, resume: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	go func() {
+	p := &Process{eng: e, name: name}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(errAborted); ok {
-					e.yield <- struct{}{} // acknowledge Stop
-					return
+				if _, ok := r.(errAborted); !ok {
+					panic(r) // iter.Pull re-raises it in the resumer
 				}
-				panic(r)
 			}
 		}()
-		p.block() // wait for first activation
+		p.yield = yield
 		body(p)
 		p.done = true
-		e.next(nil) // pass the event-loop token onward
-	}()
-	p.parked = true
+	})
+	e.procs = append(e.procs, p)
 	p.scheduleWake(0)
 	return p
 }
@@ -54,30 +55,17 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current simulation time.
 func (p *Process) Now() Time { return p.eng.now }
 
-// block suspends the goroutine until resumed. A plain channel receive
-// (not a select over an abort channel) keeps the park/resume handoff
-// on the runtime's direct-send fast path; Stop unwinds blocked
-// processes by resuming them with the stopped flag set — a poisoned
-// resume — which block converts into the unwind panic.
-func (p *Process) block() {
-	<-p.resume
-	if p.eng.stopped {
-		panic(errAborted{})
-	}
-}
-
 // park gives up the event-loop token and suspends until woken.
 // The caller must have arranged a wake (scheduleWake or a Cond).
-// Rather than bouncing through the engine goroutine, park dispatches
-// the next events itself (Engine.next): when the first dispatchable
-// process wake is this process's own — the common case for short
-// sleeps — park returns without any goroutine switch at all.
+// Rather than yielding straight back to Run, park dispatches the next
+// events itself (Engine.next): when the first dispatchable process
+// wake is this process's own — the common case for short sleeps —
+// park returns without any coroutine switch at all. A false yield
+// means Stop is unwinding the process.
 func (p *Process) park() {
-	p.parked = true
-	if !p.eng.next(p) {
-		p.block()
+	if !p.eng.next(p) && !p.yield(struct{}{}) {
+		panic(errAborted{})
 	}
-	p.parked = false
 }
 
 // scheduleWake arranges for the process to resume after delay cycles.
@@ -92,17 +80,14 @@ func (p *Process) scheduleWake(delay Time) {
 	p.eng.scheduleProc(delay, p)
 }
 
-// next passes the event-loop token onward after the calling process
-// parks or terminates. It executes fn-events inline on the calling
-// goroutine and hands the token to the first runnable process it pops;
-// when the heap drains or the next event lies past the horizon the
-// token returns to Run. Events still fire in exact (time, seq) order —
-// only the goroutine executing the loop changes — so schedules are
-// bit-identical to the central-loop formulation.
-//
-// When the first dispatchable process wake is self's own, next keeps
-// the token and returns true: the caller continues immediately with
-// zero goroutine switches. self is nil for a terminating process.
+// next dispatches events on behalf of the calling process as it parks.
+// It executes fn-events inline and stops at the first runnable process
+// wake it pops: when that wake is self's own, next returns true and
+// the caller continues immediately with no coroutine switch; otherwise
+// it records the woken process in Engine.handoff for Run to resume
+// once the caller has yielded. When the heap drains or the next event
+// lies past the horizon, handoff stays nil. Events still fire in exact
+// (time, seq) order, so schedules are bit-identical to a central loop.
 func (e *Engine) next(self *Process) bool {
 	for e.events.len() > 0 {
 		if e.events.a[0].at > e.horizon {
@@ -121,10 +106,9 @@ func (e *Engine) next(self *Process) bool {
 		if ev.p == self {
 			return true
 		}
-		ev.p.resume <- struct{}{} // hand the token to the next process
+		e.handoff = ev.p
 		return false
 	}
-	e.yield <- struct{}{} // nothing dispatchable: token back to Run
 	return false
 }
 

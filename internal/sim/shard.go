@@ -309,7 +309,8 @@ func (s *ShardSet) runEpoch(end Time) {
 // horizon, in conservative epochs of Lookahead cycles. It returns the
 // final simulation time (the global maximum across shards, to which
 // every shard's clock is aligned). Pending cross events beyond the
-// horizon survive for a later Run.
+// horizon survive for a later Run. A process panic is re-raised here
+// when the shards run inline; on the epoch pool it ends the program.
 func (s *ShardSet) Run(horizon Time) Time {
 	if s.stopped {
 		panic("sim: Run after Stop")

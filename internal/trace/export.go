@@ -218,7 +218,14 @@ func WriteChrome(w io.Writer, caps ...Capture) (Summary, error) {
 // exportRecords scans one recorder's merged rings, pairing span
 // starts with their ends and emitting instants for the rest.
 func exportRecords(cw *chromeWriter, rec *Recorder, pidBase int, sum *Summary) {
-	var all []taggedRec
+	total := 0
+	for n := 0; n < rec.Nodes(); n++ {
+		total += rec.Len(n)
+	}
+	// Sized up front: the merged scan is the export's largest buffer
+	// (a full ring set is megabytes), and growing it by doubling
+	// leaves as much again behind as garbage at the export's peak.
+	all := make([]taggedRec, 0, total)
 	var buf []Record
 	for n := 0; n < rec.Nodes(); n++ {
 		buf = rec.records(n, buf[:0])

@@ -6,8 +6,9 @@
 //
 // The recorder is built for the hot path: hooks in the fabric edge,
 // the torus links, and the reliable transport write fixed-size
-// 32-byte records into preallocated per-node rings. No interface{},
-// no closures, no allocation per event — the enabled path is pinned
+// 32-byte records into per-node rings whose chunks are allocated on
+// the ring's first pass. No interface{}, no closures, no allocation
+// per event once a ring has wrapped — the enabled path is pinned
 // at 0 allocs/event by the network conformance tests, and the
 // disabled path is a single nil check. Export (export.go) renders the
 // rings as Chrome trace-event JSON that Perfetto loads directly; the
@@ -90,8 +91,8 @@ const (
 )
 
 // Record is one lifecycle event: 32 bytes, fixed layout, no pointers
-// — a ring of them is a single allocation and writing one is a plain
-// store. Src/Dst/Frag identify the network message (plus ID, the
+// — a ring chunk of them is a single allocation and writing one is a
+// plain store. Src/Dst/Frag identify the network message (plus ID, the
 // sender-local user-message id); Link is the torus link index for
 // link records and -1 otherwise.
 type Record struct {
@@ -107,16 +108,22 @@ type Record struct {
 }
 
 // ring is one node's record ring: head counts every record ever
-// written, recs[head%len] is the next slot, and a wrapped ring keeps
-// the newest records (the export reports how many were overwritten).
+// written, slot head%size is the next, and a wrapped ring keeps the
+// newest records (the export reports how many were overwritten). The
+// slots live in chunks of chunkLen records, each allocated when the
+// head first reaches it: a short run touches a few chunks of a
+// default ring that would otherwise cost megabytes per machine.
 type ring struct {
-	recs []Record
-	head uint64
+	chunks [][]Record
+	head   uint64
 }
 
+// chunkLen is the records per ring chunk (16 KB), a power of two.
+const chunkLen = 512
+
 // Recorder collects lifecycle records for one machine. One ring per
-// node, preallocated at construction; Note is the only hot-path
-// entry.
+// node, filled chunk by chunk; Note is the only hot-path entry, and
+// it allocates only on a ring's first pass through a chunk.
 type Recorder struct {
 	eng   *sim.Engine
 	sh    *sim.ShardSet // non-nil on sharded machines: per-node clocks
@@ -132,7 +139,7 @@ func NewRecorder(eng *sim.Engine, nodes, ringSize int) *Recorder {
 	}
 	r := &Recorder{eng: eng, rings: make([]ring, nodes), size: uint64(ringSize)}
 	for i := range r.rings {
-		r.rings[i].recs = make([]Record, ringSize)
+		r.rings[i].chunks = make([][]Record, (ringSize+chunkLen-1)/chunkLen)
 	}
 	return r
 }
@@ -147,14 +154,21 @@ func (r *Recorder) Nodes() int { return len(r.rings) }
 func (r *Recorder) Shard(sh *sim.ShardSet) { r.sh = sh }
 
 // Note appends one record to node's ring, stamped with the current
-// simulated time. It neither allocates nor consumes simulated time.
+// simulated time. It consumes no simulated time, and once the ring
+// has wrapped it never allocates.
 func (r *Recorder) Note(node int, k Kind, id uint64, link, src, dst int32, frag, flags uint8) {
 	eng := r.eng
 	if r.sh != nil {
 		eng = r.sh.Engine(node)
 	}
 	rg := &r.rings[node]
-	rg.recs[rg.head%r.size] = Record{
+	i := rg.head % r.size
+	c := rg.chunks[i/chunkLen]
+	if c == nil { // the head's first visit: i is the chunk's first slot
+		c = make([]Record, min(chunkLen, r.size-i))
+		rg.chunks[i/chunkLen] = c
+	}
+	c[i%chunkLen] = Record{
 		At: uint64(eng.Now()), ID: id, Link: link,
 		Src: src, Dst: dst, Kind: k, Frag: frag, Flags: flags,
 	}
@@ -184,10 +198,13 @@ func (r *Recorder) Overwritten() uint64 {
 // records appends node's ring contents, oldest first, to dst.
 func (r *Recorder) records(node int, dst []Record) []Record {
 	rg := &r.rings[node]
-	if rg.head <= r.size {
-		return append(dst, rg.recs[:rg.head]...)
+	oldest := uint64(0)
+	if rg.head > r.size {
+		oldest = rg.head - r.size
 	}
-	at := rg.head % r.size
-	dst = append(dst, rg.recs[at:]...)
-	return append(dst, rg.recs[:at]...)
+	for h := oldest; h < rg.head; h++ {
+		i := h % r.size
+		dst = append(dst, rg.chunks[i/chunkLen][i%chunkLen])
+	}
+	return dst
 }

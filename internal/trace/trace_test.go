@@ -39,6 +39,38 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+func TestRecorderRingWrapAcrossChunks(t *testing.T) {
+	e := sim.NewEngine()
+	const size = 2*chunkLen + 100 // the last chunk is short
+	r := NewRecorder(e, 1, size)
+	for i := 0; i < chunkLen+1; i++ {
+		r.Note(0, KInject, uint64(i), -1, 0, 1, 0, 0)
+	}
+	if c := r.rings[0].chunks; c[1] == nil || c[2] != nil {
+		t.Fatalf("after %d records, chunks allocated = %v %v %v, want the first two only",
+			chunkLen+1, c[0] != nil, c[1] != nil, c[2] != nil)
+	}
+	const total = 3*chunkLen + 7
+	for i := chunkLen + 1; i < total; i++ {
+		r.Note(0, KInject, uint64(i), -1, 0, 1, 0, 0)
+	}
+	if n := len(r.rings[0].chunks[2]); n != 100 {
+		t.Errorf("last chunk holds %d records, want 100", n)
+	}
+	if got := r.Overwritten(); got != total-size {
+		t.Errorf("Overwritten = %d, want %d", got, total-size)
+	}
+	recs := r.records(0, nil)
+	if len(recs) != size {
+		t.Fatalf("records: %d, want %d", len(recs), size)
+	}
+	for i, rec := range recs {
+		if want := uint64(total - size + i); rec.ID != want {
+			t.Fatalf("records[%d].ID = %d, want %d", i, rec.ID, want)
+		}
+	}
+}
+
 func TestRecorderPartialRing(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRecorder(e, 1, 8)
